@@ -221,7 +221,8 @@ def register_simulator(
     where *program* is a :class:`~repro.circuits.program.CircuitProgram`
     (or a compiled circuit — normalise with ``CircuitProgram.of``) and the
     returned engine measures power over the sampler's zero-delay state
-    engine through ``measure_lanes(state_engine, pattern)`` /
+    engine through ``measure_lanes(state_engine, pattern, lanes=None)`` (the
+    switched capacitance of the first *lanes* lanes; ``None`` means all) /
     ``measure_total(state_engine, pattern)``.  The registered name becomes
     valid in ``EstimationConfig(power_simulator="name")`` and therefore in
     serialized :class:`~repro.api.jobs.JobSpec`s and on the command line

@@ -370,8 +370,8 @@ class BatchPowerSampler:
         self._engine.step(self._next_pattern())
         self.cycles_simulated += 1
 
-    def _measure_lanes(self) -> np.ndarray:
-        switched = self._power.measure_lanes(self._engine, self._next_pattern())
+    def _measure_lanes(self, lanes: int | None = None) -> np.ndarray:
+        switched = self._power.measure_lanes(self._engine, self._next_pattern(), lanes=lanes)
         self.cycles_simulated += 1
         return switched
 
@@ -414,7 +414,9 @@ class BatchPowerSampler:
         for every chain; chain 0's sequence is returned because the runs test
         needs one temporally ordered series (samples interleaved *across*
         chains would be trivially independent and would bias the test toward
-        accepting too-short intervals).
+        accepting too-short intervals).  Only chain 0 is measured; the other
+        chains advance through the same cycles unmeasured, so the trajectories
+        and the stimulus stream are those of a full measurement.
         """
         if interval < 0:
             raise ValueError("interval must be non-negative")
@@ -425,7 +427,7 @@ class BatchPowerSampler:
         for _ in range(length):
             for _ in range(interval):
                 self._advance_one_cycle()
-            sequence.append(float(self.measure_cycle()[0]))
+            sequence.append(float(self._measure_lanes(lanes=1)[0]))
         return sequence
 
     def next_samples(self, interval: int) -> np.ndarray:

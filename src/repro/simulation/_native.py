@@ -6,13 +6,16 @@ deep circuits the per-level ufunc dispatch overhead still dominates at small
 word counts.  This module removes that last layer of interpreter overhead by
 compiling a tiny C sweep kernel at runtime (one ``gcc -O2 -shared`` call on
 first use) and driving it through :mod:`ctypes` over the *same* uint64 word
-tables the numpy path uses.
+tables the numpy path uses.  The same translation unit holds the event-driven
+engine's frontier evaluator and ``zd_count_lanes``, the exact per-lane toggle
+counter of :mod:`repro.simulation.measurement`, so one compiler invocation
+builds all of them.
 
 The kernel is strictly optional:
 
 * if no C compiler is available, compilation fails, or the environment
   variable ``REPRO_NATIVE=0`` is set, :func:`load_kernel` returns ``None``
-  and the engine silently falls back to the grouped-numpy sweep;
+  and the engines silently fall back to their numpy paths;
 * with ``REPRO_PROGRAM_CACHE`` set, the compiled shared object is memoized
   on disk next to the pickled program cache (source-hash-versioned file
   name, atomic rename), so fresh processes — spawn-mode shard workers,
@@ -177,6 +180,43 @@ void ed_eval_cols(const uint64_t *values, int64_t num_words,
         if (op & 4)
             for (int64_t k = 0; k < num_cols; k++)
                 dst[k] = ~dst[k] & mask[cols[k]];
+    }
+}
+
+/* Exact per-lane toggle counts of one zero-delay cycle, grouped by
+ * capacitance class.
+ *
+ * diff      : (num_nets, num_words) XOR of consecutive settled states.
+ * lanes     : only lanes 0 .. lanes-1 are counted.
+ * net_class : capacitance class of every net.
+ * counts    : (num_classes, lanes) zero-initialised output; counts[c, k] is
+ *             the number of class-c nets that toggled in lane k.
+ *
+ * Walks the set bits only, so the cost scales with toggles, not with
+ * nets x lanes.
+ */
+void zd_count_lanes(const uint64_t *diff, int64_t num_nets, int64_t num_words,
+                    int64_t lanes, const int64_t *net_class, uint32_t *counts)
+{
+    if (lanes == 1) { /* the interval-selection case: branch-free bit test */
+        for (int64_t n = 0; n < num_nets; n++)
+            counts[net_class[n]] += (uint32_t)(diff[n * num_words] & 1);
+        return;
+    }
+    const int64_t used_words = (lanes + 63) / 64;
+    const int64_t tail = lanes % 64;
+    const uint64_t last_mask = tail ? ((uint64_t)1 << tail) - 1 : ~(uint64_t)0;
+    for (int64_t n = 0; n < num_nets; n++) {
+        const uint64_t *row = diff + n * num_words;
+        uint32_t *dst = counts + net_class[n] * lanes;
+        for (int64_t w = 0; w < used_words; w++) {
+            uint64_t bits = w + 1 < used_words ? row[w] : row[w] & last_mask;
+            uint32_t *lane = dst + w * 64;
+            while (bits) {
+                lane[__builtin_ctzll(bits)]++;
+                bits &= bits - 1;
+            }
+        }
     }
 }
 """
@@ -369,6 +409,15 @@ def _compile_kernel() -> ctypes.CDLL | None:
         int64_p,  # cols
         ctypes.c_int64,  # num_cols
         uint64_p,  # out
+    ]
+    library.zd_count_lanes.restype = None
+    library.zd_count_lanes.argtypes = [
+        ctypes.c_void_p,  # diff
+        ctypes.c_int64,  # num_nets
+        ctypes.c_int64,  # num_words
+        ctypes.c_int64,  # lanes
+        ctypes.c_void_p,  # net_class
+        ctypes.c_void_p,  # counts
     ]
     return library
 

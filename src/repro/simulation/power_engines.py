@@ -17,9 +17,14 @@ documents)::
 
 The returned engine exposes:
 
-* ``measure_lanes(state_engine, pattern) -> np.ndarray`` — advance the state
-  engine through one clock cycle driven by *pattern* and return the
-  per-lane switched capacitance, shape ``(width,)``;
+* ``measure_lanes(state_engine, pattern, lanes=None) -> np.ndarray`` —
+  advance the state engine through one clock cycle driven by *pattern* and
+  return the switched capacitance of its first *lanes* lanes, shape
+  ``(lanes,)``; ``None`` means all ``width`` lanes.  The state engine always
+  advances the whole ensemble, so asking for fewer lanes changes no chain
+  trajectory — it only skips resolving lanes the caller would discard
+  (interval selection keeps chain 0 alone), and ``measure_lanes(...,
+  lanes=k)`` equals the first *k* entries of a full measurement;
 * ``measure_total(state_engine, pattern) -> float`` — same cycle, lane-summed
   (cheaper when per-chain resolution is not needed);
 * ``measure_lanes_with_control(state_engine, pattern) -> (np.ndarray,
@@ -47,6 +52,8 @@ import numpy as np
 from repro.api.registry import register_simulator
 from repro.simulation.delay_models import DelayModel, make_delay_model
 from repro.simulation.event_driven import EventDrivenSimulator
+from repro.simulation.measurement import resolve_lanes
+from repro.utils.bitpack import words_per_width
 
 __all__ = [
     "CompiledEventDrivenPowerEngine",
@@ -80,8 +87,8 @@ class ZeroDelayPowerEngine:
 
         self.program = CircuitProgram.of(program)
 
-    def measure_lanes(self, state_engine, pattern) -> np.ndarray:
-        return state_engine.step_and_measure_lanes(pattern)
+    def measure_lanes(self, state_engine, pattern, lanes: int | None = None) -> np.ndarray:
+        return state_engine.step_and_measure_lanes(pattern, lanes)
 
     def measure_total(self, state_engine, pattern) -> float:
         return state_engine.step_and_measure(pattern)
@@ -122,6 +129,8 @@ class EventDrivenPowerEngine:
             width=width,
             backend=backend,
         )
+        #: Narrower engines for measurements of the leading lanes only, by width.
+        self._subset_engines: dict[int, EventDrivenSimulator] = {}
 
     def _settled_state(self, state_engine):
         """The state engine's settled network, in the cheapest shared form."""
@@ -131,15 +140,39 @@ class EventDrivenPowerEngine:
                 return words
         return state_engine.values
 
-    def measure_lanes(self, state_engine, pattern) -> np.ndarray:
-        # Re-simulate the same cycle with general delays for every chain:
-        # load the settled zero-delay network, run the event-driven cycle
-        # (counts glitches per lane), and advance the cheap state engine
-        # identically so both engines agree on the next present state.
-        self.engine.load_settled_state(self._settled_state(state_engine))
-        switched = self.engine.cycle_lanes(pattern)
+    def measure_lanes(self, state_engine, pattern, lanes: int | None = None) -> np.ndarray:
+        # Re-simulate the same cycle with general delays for every measured
+        # chain: load the settled zero-delay network, run the event-driven
+        # cycle (counts glitches per lane), and advance the cheap state
+        # engine identically so both engines agree on the next present state.
+        lanes = resolve_lanes(lanes, self.engine.width)
+        if lanes < self.engine.width:
+            switched = self._measure_leading_lanes(state_engine, pattern, lanes)
+        else:
+            self.engine.load_settled_state(self._settled_state(state_engine))
+            switched = self.engine.cycle_lanes(pattern)
         state_engine.step(pattern)
         return switched
+
+    def _measure_leading_lanes(self, state_engine, pattern, lanes: int) -> np.ndarray:
+        """Re-simulate only lanes ``0 .. lanes-1`` on a width-*lanes* engine."""
+        engine = self._subset_engines.get(lanes)
+        if engine is None:
+            engine = EventDrivenSimulator(
+                self.program,
+                delay_model=self.engine.delay_model,
+                node_capacitance=self.engine.node_capacitance,
+                width=lanes,
+                backend="scalar" if lanes == 1 else self.engine.backend,
+            )
+            self._subset_engines[lanes] = engine
+        words = state_engine.words_view()
+        engine.load_settled_state(
+            state_engine.values if words is None else _leading_lanes(words, lanes)
+        )
+        if isinstance(pattern, np.ndarray):
+            pattern = _leading_lanes(pattern, lanes)
+        return engine.cycle_lanes(pattern)
 
     def measure_total(self, state_engine, pattern) -> float:
         self.engine.load_settled_state(self._settled_state(state_engine))
@@ -157,6 +190,18 @@ class EventDrivenPowerEngine:
         switched = self.engine.cycle_lanes(pattern)
         control = state_engine.step_and_measure_lanes(pattern)
         return switched, control
+
+
+def _leading_lanes(words: np.ndarray, lanes: int):
+    """Lanes ``0 .. lanes-1`` of a ``(rows, num_words)`` word matrix.
+
+    Shaped for a width-*lanes* event engine: the word columns that hold
+    those lanes, or one 0/1-carrying value per row for the scalar engine at
+    one lane (it keeps bit 0 of each).
+    """
+    if lanes == 1:
+        return words[:, 0].tolist()
+    return words[:, : words_per_width(lanes)]
 
 
 @register_simulator("compiled", aliases=("zero-delay-compiled",))

@@ -21,10 +21,19 @@ Three sweep strategies share the same word tables:
   generated *for this specific circuit* with every gate a literal expression,
   removing even the generic kernel's per-gate opcode dispatch and CSR gather.
 
-Transition counting uses ``np.bitwise_count`` over the XOR of consecutive
-settled states, either aggregated over all lanes (:meth:`step_and_measure`)
-or resolved per lane (:meth:`step_and_measure_lanes`) for the multi-chain
-sampler, which needs one power sample per chain.
+Power is measured from the XOR of consecutive settled states with the exact
+formula of :mod:`repro.simulation.measurement`: the nets are grouped by
+distinct capacitance value, each cycle yields integer toggle counts per
+(class, lane), and one fixed-order float sum over the classes gives each
+lane's switched capacitance.  :meth:`step_and_measure` counts lane-summed
+toggles (``np.bitwise_count``).  :meth:`step_and_measure_lanes` resolves
+lanes for the multi-chain sampler, which needs one power sample per chain.
+Its ``lanes`` keyword measures only the first ``lanes`` lanes, for callers
+that keep only those, such as interval selection, which keeps chain 0.  The
+lane counts come from the compiled ``zd_count_lanes`` kernel, which walks set
+bits, or from its numpy fallback; the two agree bit for bit.  Counts take
+classes x lanes entries: a dozen or so classes with the built-in capacitance
+model, up to one class per net when every capacitance is distinct.
 
 Input patterns are accepted either in the lane-packed integer form used by
 the big-int backend, or as ``(num_inputs, num_words)`` uint64 word arrays
@@ -43,6 +52,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.simulation import _native
+from repro.simulation.measurement import CapacitanceClasses, resolve_lanes
 from repro.utils.bitpack import (
     bits_to_words,
     lane_mask_words,
@@ -130,7 +140,7 @@ class VectorizedZeroDelaySimulator:
                     f"({circuit.num_nets}), got {len(node_capacitance)}"
                 )
             self.node_capacitance = [float(value) for value in node_capacitance]
-        self._caps = np.asarray(self.node_capacitance, dtype=np.float64)
+        self._classes = CapacitanceClasses(self.node_capacitance)
         self._mask_words = lane_mask_words(width)
         self._partial_last_word = bool(width % 64)
 
@@ -413,22 +423,20 @@ class VectorizedZeroDelaySimulator:
         diff = self._advance_and_diff(pattern)
         np.bitwise_count(diff, out=self._toggle_words)
         self._toggle_words.sum(axis=1, dtype=np.float64, out=self._toggles)
-        return float(self._caps @ self._toggles)
+        return float(self._classes.energy(self._classes.count_total(self._toggles))[0])
 
-    def step_and_measure_lanes(self, pattern) -> np.ndarray:
-        """Advance one clock cycle; return the switched capacitance of every lane.
+    def step_and_measure_lanes(self, pattern, lanes: int | None = None) -> np.ndarray:
+        """Advance one clock cycle; return the switched capacitance of the first *lanes* lanes.
 
         This is the per-chain measurement the multi-chain Monte Carlo sampler
         is built on: one gate sweep yields ``width`` independent power
-        observations.
+        observations.  ``lanes=None`` measures every lane; a smaller count
+        still advances all of them but resolves only the lanes the caller
+        keeps.  The result has shape ``(lanes,)``.
         """
+        lanes = resolve_lanes(lanes, self.width)
         diff = self._advance_and_diff(pattern)
-        bits = np.unpackbits(
-            diff.view(np.uint8).reshape(self.circuit.num_nets, -1),
-            axis=1,
-            bitorder="little",
-        )[:, : self.width]
-        return self._caps @ bits
+        return self._classes.energy(self._classes.count_lanes(diff, lanes))
 
     def step_and_count(self, pattern) -> list[int]:
         """Advance one cycle and return the per-net toggle count (summed over lanes)."""

@@ -29,7 +29,9 @@ Power accounting follows the zero-delay convention: the energy of clock cycle
 *t* is proportional to the capacitance-weighted number of nets whose settled
 value differs between cycle *t-1* and cycle *t* (Eq. (1) of the paper with
 ``n_i`` restricted to functional transitions; the event-driven simulator adds
-glitch transitions).
+glitch transitions).  Both backends compute it with the exact formula of
+:mod:`repro.simulation.measurement` (integer toggle counts per capacitance
+class, then one fixed-order float sum), so their energies are bit-identical.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.simulation.backends import resolve_backend_choice
+from repro.simulation.measurement import CapacitanceClasses, resolve_lanes
 from repro.utils.rng import RandomSource, spawn_rng
 
 #: Backends accepted by :class:`ZeroDelaySimulator`.  ``"compiled"`` is the
@@ -138,10 +141,9 @@ class ZeroDelaySimulator:
                     "node_capacitance must have one entry per net "
                     f"({circuit.num_nets}), got {len(node_capacitance)}"
                 )
-            # Plain Python floats: the big-int loop accumulates per-net
-            # products in scalar arithmetic, and the shared program
-            # capacitance vectors arrive as numpy float64.
             self.node_capacitance = [float(value) for value in node_capacitance]
+        self._classes = CapacitanceClasses(self.node_capacitance, native=False)
+        self._net_class = self._classes.net_class.tolist()
         self._values: list[int] = [0] * circuit.num_nets
         self._settled = False
         self._cycles = 0
@@ -411,35 +413,45 @@ class ZeroDelaySimulator:
         """
         if self._vec is not None:
             return self._vec.step_and_measure(pattern)
-        if not self._settled:
-            self.evaluate()
-        previous = list(self._values)
-        self.clock()
-        self.apply_inputs(pattern)
-        self.evaluate()
-        self._cycles += 1
-
-        switched = 0.0
+        previous = self._advance_keeping_previous(pattern)
         values = self._values
-        capacitance = self.node_capacitance
-        for net_id in range(self.circuit.num_nets):
+        totals = [0] * self._classes.num_classes
+        for net_id, net_class in enumerate(self._net_class):
             diff = previous[net_id] ^ values[net_id]
             if diff:
-                switched += capacitance[net_id] * diff.bit_count()
-        return switched
+                totals[net_class] += diff.bit_count()
+        return float(self._classes.energy(np.array(totals, dtype=np.int64)[:, None])[0])
 
-    def step_and_measure_lanes(self, pattern) -> np.ndarray:
-        """Advance one clock cycle; return the switched capacitance of every lane.
+    def step_and_measure_lanes(self, pattern, lanes: int | None = None) -> np.ndarray:
+        """Advance one clock cycle; return the switched capacitance of the first *lanes* lanes.
 
         One gate sweep yields ``width`` independent per-chain power
         observations — the primitive the multi-chain Monte Carlo sampler is
-        built on.  The numpy backend resolves lanes with vectorized popcounts;
-        this big-int implementation walks the set bits of every net's
-        transition word and exists mainly so narrow ensembles and equivalence
-        tests can use either backend.
+        built on.  ``lanes=None`` measures every lane; a smaller count still
+        advances all lanes.  The numpy backend resolves lanes with a compiled
+        set-bit walk (or its numpy fallback); this big-int implementation
+        walks the set bits of every net's transition word into the same
+        integer class counts, and is the oracle the numpy backend is pinned
+        against bit for bit.
         """
         if self._vec is not None:
-            return self._vec.step_and_measure_lanes(pattern)
+            return self._vec.step_and_measure_lanes(pattern, lanes)
+        lanes = resolve_lanes(lanes, self.width)
+        lane_mask = (1 << lanes) - 1
+        previous = self._advance_keeping_previous(pattern)
+        values = self._values
+        counts = [[0] * lanes for _ in range(self._classes.num_classes)]
+        for net_id, net_class in enumerate(self._net_class):
+            diff = (previous[net_id] ^ values[net_id]) & lane_mask
+            row = counts[net_class]
+            while diff:
+                low = diff & -diff
+                row[low.bit_length() - 1] += 1
+                diff ^= low
+        return self._classes.energy(np.array(counts, dtype=np.int64))
+
+    def _advance_keeping_previous(self, pattern) -> list[int]:
+        """Advance one clock cycle; return the net values before it."""
         if not self._settled:
             self.evaluate()
         previous = list(self._values)
@@ -447,30 +459,13 @@ class ZeroDelaySimulator:
         self.apply_inputs(pattern)
         self.evaluate()
         self._cycles += 1
-
-        switched = np.zeros(self.width, dtype=np.float64)
-        values = self._values
-        capacitance = self.node_capacitance
-        for net_id in range(self.circuit.num_nets):
-            diff = previous[net_id] ^ values[net_id]
-            cap = capacitance[net_id]
-            while diff:
-                low = diff & -diff
-                switched[low.bit_length() - 1] += cap
-                diff ^= low
-        return switched
+        return previous
 
     def step_and_count(self, pattern) -> list[int]:
         """Advance one cycle and return the per-net toggle count (summed over lanes)."""
         if self._vec is not None:
             return self._vec.step_and_count(pattern)
-        if not self._settled:
-            self.evaluate()
-        previous = list(self._values)
-        self.clock()
-        self.apply_inputs(pattern)
-        self.evaluate()
-        self._cycles += 1
+        previous = self._advance_keeping_previous(pattern)
         return [
             (previous[net_id] ^ self._values[net_id]).bit_count()
             for net_id in range(self.circuit.num_nets)

@@ -152,11 +152,11 @@ class TestSimulatorRegistry:
                          delay_model=None, backend="auto"):
                 self.width = width
 
-            def measure_lanes(self, state_engine, pattern):
+            def measure_lanes(self, state_engine, pattern, lanes=None):
                 import numpy as np
 
                 state_engine.step(pattern)
-                return np.ones(self.width, dtype=np.float64)
+                return np.ones(self.width if lanes is None else lanes, dtype=np.float64)
 
             def measure_total(self, state_engine, pattern):
                 return float(self.measure_lanes(state_engine, pattern).sum())
@@ -170,6 +170,8 @@ class TestSimulatorRegistry:
             )
             samples = sampler.next_samples(interval=1)
             assert samples.tolist() == [1.0, 1.0, 1.0, 1.0]
+            # Interval selection asks the engine for chain 0 alone.
+            assert sampler.collect_sequence(interval=1, length=3) == [1.0, 1.0, 1.0]
         finally:
             # Plain deletion: monkeypatch would restore the entry at teardown
             # and leak the test engine into the session-wide registry.

@@ -198,11 +198,6 @@ void ed_eval_cols(const uint64_t *values, int64_t num_words,
 void zd_count_lanes(const uint64_t *diff, int64_t num_nets, int64_t num_words,
                     int64_t lanes, const int64_t *net_class, uint32_t *counts)
 {
-    if (lanes == 1) { /* the interval-selection case: branch-free bit test */
-        for (int64_t n = 0; n < num_nets; n++)
-            counts[net_class[n]] += (uint32_t)(diff[n * num_words] & 1);
-        return;
-    }
     const int64_t used_words = (lanes + 63) / 64;
     const int64_t tail = lanes % 64;
     const uint64_t last_mask = tail ? ((uint64_t)1 << tail) - 1 : ~(uint64_t)0;

@@ -62,12 +62,9 @@ class CapacitanceClasses:
     ----------
     node_capacitance:
         Per-net capacitance (one entry per net).
-    native:
-        Count through the compiled ``zd_count_lanes`` kernel when it is
-        available (``False`` pins the numpy fallback).
     """
 
-    def __init__(self, node_capacitance: Sequence[float] | np.ndarray, native: bool = True):
+    def __init__(self, node_capacitance: Sequence[float] | np.ndarray):
         caps = np.asarray(node_capacitance, dtype=np.float64).reshape(-1)
         values, net_class = np.unique(caps, return_inverse=True)
         #: Distinct capacitance values, ascending: the class order of the sum.
@@ -78,20 +75,22 @@ class CapacitanceClasses:
         self.num_nets = int(caps.size)
         self._order = np.argsort(self.net_class, kind="stable")
         self._starts = np.searchsorted(self.net_class[self._order], np.arange(self.num_classes))
-        self._kernel = _native.load_kernel() if native else None
         self._net_class_ptr = self.net_class.ctypes.data
 
     def count_lanes(self, diff: np.ndarray, lanes: int) -> np.ndarray:
         """Toggle counts per (class, lane) of the first *lanes* lanes of *diff*.
 
         *diff* is the ``(num_nets, num_words)`` uint64 XOR of two settled
-        states; the result is a ``(num_classes, lanes)`` uint32 matrix.
+        states; the result is a ``(num_classes, lanes)`` uint32 matrix.  The
+        compiled kernel is loaded on the first call, so engines that never
+        count lanes this way never load it.
         """
-        if self._kernel is None:
+        kernel = _native.load_kernel()
+        if kernel is None:
             return self._count_lanes_numpy(diff, lanes)
         diff = np.ascontiguousarray(diff, dtype=np.uint64)
         counts = np.zeros((self.num_classes, lanes), dtype=np.uint32)
-        self._kernel.zd_count_lanes(
+        kernel.zd_count_lanes(
             diff.ctypes.data,
             self.num_nets,
             diff.shape[1],

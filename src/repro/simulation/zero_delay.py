@@ -142,7 +142,7 @@ class ZeroDelaySimulator:
                     f"({circuit.num_nets}), got {len(node_capacitance)}"
                 )
             self.node_capacitance = [float(value) for value in node_capacitance]
-        self._classes = CapacitanceClasses(self.node_capacitance, native=False)
+        self._classes = CapacitanceClasses(self.node_capacitance)
         self._net_class = self._classes.net_class.tolist()
         self._values: list[int] = [0] * circuit.num_nets
         self._settled = False

@@ -30,6 +30,7 @@ from repro.simulation.measurement import CapacitanceClasses, resolve_lanes
 from repro.simulation.power_engines import ZeroDelayPowerEngine
 from repro.simulation.vectorized import VectorizedZeroDelaySimulator
 from repro.simulation.zero_delay import ZeroDelaySimulator
+from repro.stats.randomness import dichotomize, runs_test_on_values
 from repro.stimulus.base import pack_bit_matrix
 from repro.stimulus.random_inputs import BernoulliStimulus
 
@@ -80,14 +81,19 @@ def test_resolve_lanes_bounds():
 @needs_kernel
 @pytest.mark.parametrize("kind", CAPS)
 @pytest.mark.parametrize("width", WIDTHS)
-def test_kernel_equals_numpy_fallback_on_random_diffs(program, kind, width):
+def test_kernel_equals_numpy_fallback_on_random_diffs(program, kind, width, monkeypatch):
     """Counts from the kernel and the fallback are the same integers."""
     caps = _caps(program, kind)
     if caps is None:
         caps = np.ones(program.circuit.num_nets)
-    native = CapacitanceClasses(caps)
-    fallback = CapacitanceClasses(caps, native=False)
-    assert native._kernel is not None and fallback._kernel is None
+    classes = CapacitanceClasses(caps)
+
+    def fallback_counts(diff, lanes):
+        with monkeypatch.context() as patch:
+            patch.setenv("REPRO_NATIVE", "0")
+            assert _native.load_kernel() is None
+            return classes.count_lanes(diff, lanes)
+
     rng = np.random.default_rng(width)
     num_words = (width + 63) // 64
     # Sparse, dense and garbage-beyond-width bits: the kernel must ignore
@@ -97,21 +103,47 @@ def test_kernel_equals_numpy_fallback_on_random_diffs(program, kind, width):
         for _ in range(density - 1):
             diff &= rng.integers(0, 2**64, size=diff.shape, dtype=np.uint64)
         for lanes in _lane_counts(width):
-            counts = native.count_lanes(diff, lanes)
-            assert counts.shape == (native.num_classes, lanes)
-            np.testing.assert_array_equal(counts, fallback.count_lanes(diff, lanes))
-            assert native.energy(counts).tolist() == fallback.energy(
-                fallback.count_lanes(diff, lanes)
-            ).tolist()
+            counts = classes.count_lanes(diff, lanes)
+            assert counts.shape == (classes.num_classes, lanes)
+            np.testing.assert_array_equal(counts, fallback_counts(diff, lanes))
+
+
+def test_equal_class_counts_give_equal_energies_and_median_ties(program):
+    """Cycles toggling different nets with the same per-class counts tie exactly.
+
+    A net-order float sum would usually split such cycles by rounding; the
+    class-count formula makes them bit-identical, so when they sit at the
+    median of a sequence the runs test's dichotomisation drops them.
+    """
+    classes = CapacitanceClasses(program.capacitances(CapacitanceModel()))
+    members = [np.flatnonzero(classes.net_class == c) for c in range(classes.num_classes)]
+    shared = [nets for nets in members if nets.size >= 2]
+    assert len(shared) >= 3
+    first = np.zeros((classes.num_nets, 1), dtype=np.uint64)
+    second = np.zeros_like(first)
+    for nets in shared:
+        first[nets[0]] = 1
+        second[nets[-1]] = 1
+    assert not np.array_equal(first, second)
+    counts = classes.count_lanes(first, 1)
+    np.testing.assert_array_equal(counts, classes.count_lanes(second, 1))
+    energy = float(classes.energy(counts)[0])
+    assert energy == float(classes.energy(classes.count_lanes(second, 1))[0])
+
+    low, high = 0.5 * energy, 2.0 * energy
+    sequence = [low, energy, high, energy, low, high]
+    assert np.median(sequence) == energy
+    assert dichotomize(sequence) == [0, 1, 0, 1]
+    result = runs_test_on_values(sequence)
+    assert (result.num_first, result.num_second) == (2, 2)
 
 
 def _engine_runs(program, caps, width, lanes, monkeypatch, native):
     """Per-cycle lane energies and totals of the numpy engine and the big-int oracle."""
     if not native:
         monkeypatch.setenv("REPRO_NATIVE", "0")
+    assert (_native.load_kernel() is not None) == native
     vector = VectorizedZeroDelaySimulator(program, width=width, node_capacitance=caps)
-    monkeypatch.delenv("REPRO_NATIVE", raising=False)
-    assert (vector._classes._kernel is not None) == native
     bigint = ZeroDelaySimulator(program, width=width, node_capacitance=caps, backend="bigint")
     stimulus = BernoulliStimulus(program.circuit.num_inputs, 0.5)
     results = []
@@ -126,6 +158,7 @@ def _engine_runs(program, caps, width, lanes, monkeypatch, native):
             )
             totals.append(engine.step_and_measure(stimulus.next_pattern(rng, width=width)))
         results.append((np.array(lanes_out), totals))
+    monkeypatch.delenv("REPRO_NATIVE", raising=False)
     return results
 
 

@@ -21,6 +21,7 @@ import os
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -51,14 +52,35 @@ def _strict() -> bool:
     return os.environ.get("REPRO_BENCH_STRICT", "1") not in ("", "0", "false", "no")
 
 
+@contextmanager
+def _native_disabled(disabled: bool):
+    """Build engines as a compiler-less deployment would (``REPRO_NATIVE=0``)."""
+    previous = os.environ.get("REPRO_NATIVE")
+    if disabled:
+        os.environ["REPRO_NATIVE"] = "0"
+    try:
+        yield
+    finally:
+        if previous is None:
+            os.environ.pop("REPRO_NATIVE", None)
+        else:
+            os.environ["REPRO_NATIVE"] = previous
+
+
 def _sweep_rate(circuit, sweep: str, cycles: int, repeats: int = 3) -> float:
-    """Best-of-*repeats* ``step_and_measure`` cycles/second for one strategy."""
+    """Best-of-*repeats* ``step_and_measure`` cycles/second for one strategy.
+
+    ``"groups"`` is the grouped-numpy sweep an engine builds with the C
+    kernels disabled, ``"native"`` the generic kernel and ``"codegen"`` the
+    per-circuit kernel the ``compiled`` backend asks for.
+    """
     caps = CapacitanceModel().node_capacitances(circuit)
     stimulus = BernoulliStimulus(circuit.num_inputs, 0.5)
     rng = np.random.default_rng(1)
-    simulator = VectorizedZeroDelaySimulator(
-        circuit, width=_WIDTH, node_capacitance=caps, sweep=sweep
-    )
+    with _native_disabled(sweep == "groups"):
+        simulator = VectorizedZeroDelaySimulator(
+            circuit, width=_WIDTH, node_capacitance=caps, codegen=sweep == "codegen"
+        )
     assert simulator.sweep == sweep, (
         f"requested sweep {sweep!r} degraded to {simulator.sweep!r}"
     )

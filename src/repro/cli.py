@@ -124,9 +124,9 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
                         help="chain-count ceiling for --adaptive-chains")
     parser.add_argument("--backend", choices=("auto", "bigint", "numpy", "compiled"),
                         default="auto",
-                        help="zero-delay simulator backend (auto picks by ensemble "
-                             "width; compiled generates per-circuit C, falling back "
-                             "to numpy without a compiler)")
+                        help="simulator backend (auto picks by ensemble width; "
+                             "compiled generates per-circuit C for both power "
+                             "engines, falling back to numpy without a compiler)")
     parser.add_argument("--stimulus", choices=sorted(stimulus_names()),
                         default="bernoulli",
                         help="input-pattern generator (any registered stimulus "

@@ -52,6 +52,7 @@ from repro.api.registry import get_simulator
 from repro.circuits.program import CircuitProgram
 from repro.core.config import EstimationConfig
 from repro.core.sampler import PowerSampler
+from repro.simulation.event_driven import event_backend_for
 from repro.simulation.zero_delay import ZeroDelaySimulator
 from repro.stats.stopping.base import StoppingDecision
 from repro.stimulus.base import Stimulus
@@ -141,9 +142,11 @@ class BatchPowerSampler:
         Number of independent chains advanced per gate sweep; defaults to
         ``config.num_chains``.
     backend:
-        Zero-delay simulator backend (``"auto"``, ``"bigint"``, ``"numpy"``
-        or ``"compiled"``); defaults to ``config.simulation_backend``.  The
-        event-driven engine picks scalar/numpy from the chain count.
+        Simulator backend (``"auto"``, ``"bigint"``, ``"numpy"`` or
+        ``"compiled"``); defaults to ``config.simulation_backend``.  It selects
+        the zero-delay state engine; the event-driven engine picks scalar or
+        numpy from the chain count, except that ``"compiled"`` routes it
+        through the per-circuit codegen kernel too.
     """
 
     def __init__(
@@ -173,25 +176,16 @@ class BatchPowerSampler:
         self._backend_request = (
             self.config.simulation_backend if backend is None else backend
         )
-        if self._backend_request == "auto":
-            # Registered simulators may pin the state-engine backend (the
-            # "compiled"/"event-driven-compiled" engines route the shared
-            # state sweeps through the codegen kernel); an explicit user
-            # backend always wins over the engine's preference.
-            override = getattr(
-                get_simulator(self.config.power_simulator), "state_backend", None
-            )
-            if override is not None:
-                self._backend_request = override
         self._build_engines()
 
         self.cycles_simulated = 0
         self._prepared = False
         self._seconds_per_sweep: float | None = None
 
-    #: Event-engine backend request used by :meth:`_build_engines`; shard
-    #: samplers override it with the backend resolved at full ensemble width.
-    _event_backend_request = "auto"
+    #: Event-engine backend request used by :meth:`_build_engines`; ``None``
+    #: follows the state backend (:func:`event_backend_for`).  Shard samplers
+    #: override it with the backend resolved at full ensemble width.
+    _event_backend_request: str | None = None
 
     def _build_engines(self) -> None:
         """(Re)build the state and power engines at the current ``num_chains`` width."""
@@ -209,7 +203,7 @@ class BatchPowerSampler:
             width=self.num_chains,
             node_capacitance=self._node_caps,
             delay_model=self.config.delay_model,
-            backend=self._event_backend_request,
+            backend=self._event_backend_request or event_backend_for(self._backend_request),
         )
         self._event_engine = self._power.engine
 

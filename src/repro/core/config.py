@@ -25,9 +25,10 @@ POWER_SIMULATORS = ("zero-delay", "event-driven")
 STOPPING_CRITERIA = ("order-statistic", "clt", "ks")
 
 #: Simulator backends accepted by :class:`EstimationConfig`.  "compiled" is
-#: the numpy engine driving per-circuit generated C sweeps
-#: (:mod:`repro.simulation.codegen`), bit-identical to "numpy" and degrading
-#: to it when no C compiler is available.
+#: the numpy engines driving per-circuit generated C
+#: (:mod:`repro.simulation.codegen`) for both the zero-delay sweeps and the
+#: event-driven frontier, bit-identical to "numpy" and degrading to it when
+#: no C compiler is available.
 SIMULATION_BACKENDS = ("auto", "bigint", "numpy", "compiled")
 
 
@@ -163,7 +164,9 @@ class EstimationConfig:
         (Python integers), ``"numpy"`` (word-sliced uint64 arrays),
         ``"compiled"`` (numpy storage with per-circuit generated C sweeps)
         or ``"auto"`` (pick by ensemble width).  The event-driven power
-        engine picks its scalar or vectorized backend from the chain count.
+        engine picks its scalar or vectorized backend from the chain count;
+        ``"compiled"`` also routes its frontier evaluation through the
+        generated C.
     power_model / capacitance_model:
         Electrical models; defaults are the paper's 5 V / 20 MHz operating
         point and the default standard-cell capacitance values.

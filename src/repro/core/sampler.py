@@ -23,6 +23,7 @@ import numpy as np
 from repro.api.registry import get_simulator
 from repro.circuits.program import CircuitProgram
 from repro.core.config import EstimationConfig
+from repro.simulation.event_driven import event_backend_for
 from repro.simulation.zero_delay import ZeroDelaySimulator
 from repro.stimulus.base import Stimulus
 from repro.utils.rng import RandomSource, spawn_rng
@@ -66,14 +67,6 @@ class PowerSampler:
 
         node_caps = self.program.capacitances(self.config.capacitance_model)
         backend = self.config.simulation_backend
-        if backend == "auto":
-            # Same state-backend pinning as the batch sampler: registered
-            # simulators (the compiled engines) may route the state sweeps
-            # through the codegen kernel unless the user chose explicitly.
-            backend = (
-                getattr(get_simulator(self.config.power_simulator), "state_backend", None)
-                or backend
-            )
         self._state_engine = ZeroDelaySimulator(
             self.program,
             width=1,
@@ -85,6 +78,7 @@ class PowerSampler:
             width=1,
             node_capacitance=node_caps,
             delay_model=self.config.delay_model,
+            backend=event_backend_for(backend),
         )
         self._event_engine = self._power.engine
 

@@ -120,6 +120,7 @@ from repro.core.transport import ShardCoordinator
 from repro.core.transport import WorkerDown as _WorkerDown
 from repro.faults import FaultInjector, FaultSchedule, SimulatedWorkerDeath
 from repro.faults import active_schedule as _ambient_fault_schedule
+from repro.simulation.event_driven import event_backend_for, resolve_event_backend
 from repro.simulation.zero_delay import resolve_backend
 from repro.stimulus.base import Stimulus
 from repro.utils.bitpack import (
@@ -1058,7 +1059,9 @@ class ShardedPowerSampler(BatchPowerSampler):
         # would change the floating-point accumulation order of its lane
         # energies and break the bit-identical merge.
         zd_backend = resolve_backend(self._backend_request, self.num_chains)
-        event_backend = "scalar" if self.num_chains == 1 else "numpy"
+        event_backend = resolve_event_backend(
+            event_backend_for(self._backend_request), self.num_chains
+        )
         for handle, (_, width) in zip(self._handles, self._shards):
             handle.send("build", width, zd_backend, event_backend)
         self._shard_backends = [replies[0] for replies in self._collect_all()]

@@ -44,6 +44,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+import threading
 
 import numpy as np
 
@@ -140,49 +141,6 @@ void ed_eval(const uint64_t *values, int64_t num_words,
     }
 }
 
-/* ed_eval restricted to a subset of value-word columns (wavefront
- * compaction): cols lists the still-active word indices; out is
- * (num_active, num_cols) and holds each gate's output for those words only.
- */
-void ed_eval_cols(const uint64_t *values, int64_t num_words,
-                  const int64_t *gate_ids, int64_t num_active,
-                  const uint8_t *ops, const int64_t *in_ptr, const int64_t *in_rows,
-                  const uint64_t *mask, const int64_t *cols, int64_t num_cols,
-                  uint64_t *out)
-{
-    for (int64_t i = 0; i < num_active; i++) {
-        const int64_t g = gate_ids[i];
-        const uint8_t op = ops[g];
-        const int64_t lo = in_ptr[g];
-        const int64_t hi = in_ptr[g + 1];
-        uint64_t *dst = out + i * num_cols;
-        if (lo == hi) {
-            for (int64_t k = 0; k < num_cols; k++) dst[k] = 0;
-            continue;
-        }
-        const uint64_t *first = values + in_rows[lo] * num_words;
-        for (int64_t k = 0; k < num_cols; k++)
-            dst[k] = first[cols[k]];
-        for (int64_t j = lo + 1; j < hi; j++) {
-            const uint64_t *src = values + in_rows[j] * num_words;
-            switch (op & 3) {
-            case 0:
-                for (int64_t k = 0; k < num_cols; k++) dst[k] &= src[cols[k]];
-                break;
-            case 1:
-                for (int64_t k = 0; k < num_cols; k++) dst[k] |= src[cols[k]];
-                break;
-            default:
-                for (int64_t k = 0; k < num_cols; k++) dst[k] ^= src[cols[k]];
-                break;
-            }
-        }
-        if (op & 4)
-            for (int64_t k = 0; k < num_cols; k++)
-                dst[k] = ~dst[k] & mask[cols[k]];
-    }
-}
-
 /* Exact per-lane toggle counts of one zero-delay cycle, grouped by
  * capacitance class.
  *
@@ -228,6 +186,7 @@ KERNEL_CACHE_VERSION = 1
 
 _kernel: ctypes.CDLL | None = None
 _kernel_failed = False
+_kernel_lock = threading.Lock()
 _compiler_invocations = 0
 
 
@@ -304,11 +263,11 @@ def compile_and_load(source: str, tag: str, optimize: str = "-O2") -> ctypes.CDL
     With ``REPRO_PROGRAM_CACHE`` set, the object is cached as
     ``{tag}.k{KERNEL_CACHE_VERSION}.{source_digest}.so`` — the digest in the
     file name makes stale objects (older source) simply miss, and a corrupt
-    cached file is unlinked and recompiled.  Writes go through a unique
-    temporary name in the same directory plus ``os.replace``, so concurrent
-    processes never observe a half-written object.  Without a cache
-    directory the object is built in a temporary directory that is removed
-    right after loading.  Returns ``None`` when no compiler is available
+    cached file is unlinked and recompiled.  Writes go through a temporary
+    name unique to this call in the same directory plus ``os.replace``, so
+    concurrent builders — processes or threads — never share or observe a
+    half-written object.  Without a cache directory the object is built in a
+    temporary directory that is removed right after loading.  Returns ``None`` when no compiler is available
     (and no cached object exists) or compilation fails.
     """
     directory = _kernel_cache_dir()
@@ -324,9 +283,13 @@ def compile_and_load(source: str, tag: str, optimize: str = "-O2") -> ctypes.CDL
             os.unlink(path)  # corrupt (e.g. truncated by a crash): recompile
         except OSError:
             pass
-    temp = f"{path}.tmp{os.getpid()}"
+    temp = None
     try:
         os.makedirs(directory, exist_ok=True)
+        handle, temp = tempfile.mkstemp(
+            prefix=f"{os.path.basename(path)}.", suffix=".tmp", dir=directory
+        )
+        os.close(handle)
         if not _invoke_compiler(source, temp, optimize):
             return _cleanup_temp(temp)
         os.replace(temp, path)
@@ -341,11 +304,12 @@ def compile_and_load(source: str, tag: str, optimize: str = "-O2") -> ctypes.CDL
     return _load_library(path)
 
 
-def _cleanup_temp(temp: str) -> None:
-    try:
-        os.unlink(temp)
-    except OSError:
-        pass
+def _cleanup_temp(temp: str | None) -> None:
+    if temp is not None:
+        try:
+            os.unlink(temp)
+        except OSError:
+            pass
     return None
 
 
@@ -389,20 +353,6 @@ def _compile_kernel() -> ctypes.CDLL | None:
         int64_p,  # in_ptr
         int64_p,  # in_rows
         uint64_p,  # lane mask
-        uint64_p,  # out
-    ]
-    library.ed_eval_cols.restype = None
-    library.ed_eval_cols.argtypes = [
-        uint64_p,  # values
-        ctypes.c_int64,  # num_words
-        int64_p,  # gate_ids
-        ctypes.c_int64,  # num_active
-        uint8_p,  # ops
-        int64_p,  # in_ptr
-        int64_p,  # in_rows
-        uint64_p,  # lane mask
-        int64_p,  # cols
-        ctypes.c_int64,  # num_cols
         uint64_p,  # out
     ]
     library.zd_count_lanes.restype = None
@@ -456,21 +406,29 @@ def bind_sweep(kernel, flat, num_words, num_gates, ops, out_rows, in_ptr, in_row
 
 
 def load_kernel() -> ctypes.CDLL | None:
-    """Return the compiled sweep kernel, or ``None`` when unavailable."""
+    """Return the compiled sweep kernel, or ``None`` when unavailable.
+
+    The first load of a process is serialised: threads that ask at once
+    wait for one build instead of each running the compiler.
+    """
     global _kernel, _kernel_failed
     if not native_enabled():
         return None
-    if _kernel is None and not _kernel_failed:
-        _kernel = _compile_kernel()
-        _kernel_failed = _kernel is None
-    return _kernel
+    if _kernel is not None:
+        return _kernel
+    with _kernel_lock:
+        if _kernel is None and not _kernel_failed:
+            _kernel = _compile_kernel()
+            _kernel_failed = _kernel is None
+        return _kernel
 
 
 def clear_kernel_memo() -> None:
     """Forget the loaded generic kernel so the next load retries (testing support)."""
     global _kernel, _kernel_failed
-    _kernel = None
-    _kernel_failed = False
+    with _kernel_lock:
+        _kernel = None
+        _kernel_failed = False
 
 
 def native_kernel_available() -> bool:

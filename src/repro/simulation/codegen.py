@@ -18,16 +18,14 @@ lane mask ``M``, so one shared object serves every ensemble width of its
 circuit — which is what lets the object be cached under the program's
 content key.
 
-Three entry points are emitted per program:
+Two entry points are emitted per program:
 
 * ``cg_zd_sweep(V, NW, M)`` — the full zero-delay combinational sweep, one
   fused ``w``-loop per level chunk (gates within a level are independent,
   so their expressions share one loop over the lane words);
 * ``cg_ed_eval(V, NW, ids, n, M, out)`` — evaluate an arbitrary gate subset
   (the event-driven engine's active frontier) into ``out`` without touching
-  the net rows, via a per-gate function-pointer table;
-* ``cg_ed_eval_cols(...)`` — the same restricted to a subset of value-word
-  columns (wavefront compaction).
+  the net rows, via a per-gate function-pointer table.
 
 Compilation and caching ride the shared machinery of
 :func:`repro.simulation._native.compile_and_load`: with
@@ -141,9 +139,8 @@ def generate_source(program) -> str:
     # indexed by gate id.  Keeping the per-word loop in the *drivers* (and
     # out of the per-gate bodies) keeps compile time linear in circuit size
     # — per-gate loop bodies made the optimizer's cost blow up 6x on s5378.
-    # The same word functions serve the column-subset variant by passing
-    # ``C[k]`` as the word index.  Constant cells (never scheduled, but the
-    # generic kernel zero-fills them defensively) map to ``cg_word_zero``.
+    # Constant cells (never scheduled, but the generic kernel zero-fills them
+    # defensively) map to ``cg_word_zero``.
     num_gates = len(program.gate_out)
     table: list[str] = []
     for gate_index in range(num_gates):
@@ -176,25 +173,13 @@ def generate_source(program) -> str:
         "            dst[w] = fn(V, NW, M, w);\n"
         "    }\n"
         "}\n"
-        "\n"
-        "void cg_ed_eval_cols(const uint64_t *V, int64_t NW, const int64_t *ids,\n"
-        "                     int64_t n, const uint64_t *M, const int64_t *C,\n"
-        "                     int64_t NC, uint64_t *out)\n"
-        "{\n"
-        "    for (int64_t i = 0; i < n; i++) {\n"
-        "        const cg_word_fn fn = CG_GATES[ids[i]];\n"
-        "        uint64_t *dst = out + i * NC;\n"
-        "        for (int64_t k = 0; k < NC; k++)\n"
-        "            dst[k] = fn(V, NW, M, C[k]);\n"
-        "    }\n"
-        "}\n"
     )
     return "\n".join(parts)
 
 
 def _configure(library: ctypes.CDLL) -> ctypes.CDLL | None:
     """Attach argtypes; None when the object lacks the expected symbols."""
-    for symbol in ("cg_zd_sweep", "cg_ed_eval", "cg_ed_eval_cols"):
+    for symbol in ("cg_zd_sweep", "cg_ed_eval"):
         if not hasattr(library, symbol):
             return None
     uint64_p = np.ctypeslib.ndpointer(dtype=np.uint64, flags="C_CONTIGUOUS")
@@ -208,17 +193,6 @@ def _configure(library: ctypes.CDLL) -> ctypes.CDLL | None:
         int64_p,  # gate_ids
         ctypes.c_int64,  # num_active
         uint64_p,  # lane mask
-        uint64_p,  # out
-    ]
-    library.cg_ed_eval_cols.restype = None
-    library.cg_ed_eval_cols.argtypes = [
-        uint64_p,  # values
-        ctypes.c_int64,  # num_words
-        int64_p,  # gate_ids
-        ctypes.c_int64,  # num_active
-        uint64_p,  # lane mask
-        int64_p,  # cols
-        ctypes.c_int64,  # num_cols
         uint64_p,  # out
     ]
     return library
@@ -298,7 +272,7 @@ def ensure_program_kernel(program) -> dict:
         ),
         "source_bytes": len(source),
         "source_digest": _native.source_digest(source),
-        "functions": 3,
+        "functions": 2,
     }
 
 

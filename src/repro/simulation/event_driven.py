@@ -71,6 +71,16 @@ def resolve_event_backend(backend: str, width: int) -> str:
     )
 
 
+def event_backend_for(simulation_backend: str) -> str:
+    """The event-engine backend a sampler pairs with its ``simulation_backend``.
+
+    ``"compiled"`` routes the event engine through the per-program codegen
+    kernel as well, so one switch selects codegen for every sweep; any other
+    choice lets the event engine pick scalar or numpy by width.
+    """
+    return "compiled" if simulation_backend == "compiled" else "auto"
+
+
 class EventDrivenSimulator:
     """General-delay event-driven simulator over *width* parallel chains.
 
@@ -100,7 +110,6 @@ class EventDrivenSimulator:
         node_capacitance: Sequence[float] | np.ndarray | None = None,
         width: int = 1,
         backend: str = "auto",
-        wavefront_compaction: bool = True,
     ):
         # Imported lazily: the program module imports from repro.simulation.
         from repro.circuits.program import CircuitProgram, node_capacitance_array
@@ -130,7 +139,6 @@ class EventDrivenSimulator:
                 node_capacitance=self.node_capacitance,
                 width=width,
                 schedule=schedule,
-                wavefront_compaction=wavefront_compaction,
                 codegen=self.backend == "compiled",
             )
             return

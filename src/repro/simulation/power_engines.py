@@ -41,6 +41,12 @@ engine's own sweep; the event-driven engine re-simulates the sampled cycle
 with general delays (glitches included) from the state engine's settled
 network, then advances the state engine identically so both agree on the
 next present state.
+
+How either engine executes is not a registry choice: the samplers pass
+``EstimationConfig(simulation_backend=...)`` to the state engine, and
+``"compiled"`` also reaches the event-driven engine as ``backend``, so one
+switch routes every sweep and frontier evaluation through the per-circuit
+codegen kernel (:mod:`repro.simulation.codegen`).
 """
 
 from __future__ import annotations
@@ -56,8 +62,6 @@ from repro.simulation.measurement import resolve_lanes
 from repro.utils.bitpack import words_per_width
 
 __all__ = [
-    "CompiledEventDrivenPowerEngine",
-    "CompiledZeroDelayPowerEngine",
     "EventDrivenPowerEngine",
     "ZeroDelayPowerEngine",
 ]
@@ -69,11 +73,6 @@ class ZeroDelayPowerEngine:
 
     #: No engine of its own — the state engine is the measurement engine.
     engine = None
-
-    #: Simulator classes may pin the *state engine's* backend: the samplers
-    #: honour this when the configured backend is "auto" (an explicit user
-    #: choice always wins).  ``None`` keeps the width-based auto pick.
-    state_backend = None
 
     def __init__(
         self,
@@ -104,8 +103,6 @@ class ZeroDelayPowerEngine:
 @register_simulator("event-driven")
 class EventDrivenPowerEngine:
     """General-delay re-simulation of the sampled cycle (glitches included)."""
-
-    state_backend = None
 
     def __init__(
         self,
@@ -202,53 +199,3 @@ def _leading_lanes(words: np.ndarray, lanes: int):
     if lanes == 1:
         return words[:, 0].tolist()
     return words[:, : words_per_width(lanes)]
-
-
-@register_simulator("compiled", aliases=("zero-delay-compiled",))
-class CompiledZeroDelayPowerEngine(ZeroDelayPowerEngine):
-    """Zero-delay measurement on the per-program codegen sweep.
-
-    Identical measurement semantics (and bit-identical samples) to
-    ``"zero-delay"`` — the only difference is that the samplers build the
-    shared state engine with ``backend="compiled"``, so every sweep runs the
-    straight-line C generated for this circuit
-    (:mod:`repro.simulation.codegen`) instead of the interpreted tables.
-    Environments without a C compiler (or with ``REPRO_NATIVE=0``) degrade
-    to the ordinary numpy sweep transparently.
-    """
-
-    state_backend = "compiled"
-
-
-@register_simulator("event-driven-compiled")
-class CompiledEventDrivenPowerEngine(EventDrivenPowerEngine):
-    """Event-driven measurement with codegen frontier evaluation.
-
-    Same glitch-aware cycle re-simulation as ``"event-driven"``, but both
-    the shared zero-delay state engine and the event-driven measurement
-    engine ask for the per-program codegen kernel, with the same transparent
-    fallback chain as the zero-delay variant.
-    """
-
-    state_backend = "compiled"
-
-    def __init__(
-        self,
-        program,
-        width: int = 1,
-        node_capacitance: Sequence[float] | np.ndarray | None = None,
-        delay_model: DelayModel | str | None = None,
-        backend: str = "auto",
-    ):
-        # "auto"/"numpy" would resolve to the plain numpy engine; this
-        # simulator exists to pin the codegen path.  An explicit "scalar"
-        # (width-1 state restore paths) is preserved.
-        if backend in ("auto", "numpy"):
-            backend = "compiled"
-        super().__init__(
-            program,
-            width=width,
-            node_capacitance=node_capacitance,
-            delay_model=delay_model,
-            backend=backend,
-        )

@@ -17,7 +17,7 @@ Three sweep strategies share the same word tables:
   a small C routine runs the topologically ordered gate list directly over the
   same flat word buffer, removing the remaining per-group dispatch overhead;
 * **per-program codegen kernel** (optional, see
-  :mod:`repro.simulation.codegen`, requested via ``sweep="codegen"``): C
+  :mod:`repro.simulation.codegen`, requested with ``codegen=True``): C
   generated *for this specific circuit* with every gate a literal expression,
   removing even the generic kernel's per-gate opcode dispatch and CSR gather.
 
@@ -104,20 +104,12 @@ class VectorizedZeroDelaySimulator:
 
     backend = "numpy"
 
-    #: Sweep strategy choices.  "auto" is the classic numpy backend: the
-    #: generic native kernel when available, else grouped numpy.  "codegen"
-    #: (the ``compiled`` facade backend) asks for the per-program generated
-    #: kernel first and degrades codegen -> native -> groups, so a missing
-    #: compiler never fails construction.  "native" and "groups" pin the
-    #: generic kernel / pure-numpy strategies (tests and benchmarks).
-    SWEEPS = ("auto", "codegen", "native", "groups")
-
     def __init__(
         self,
         circuit,
         width: int = 1,
         node_capacitance: Sequence[float] | None = None,
-        sweep: str = "auto",
+        codegen: bool = False,
     ):
         # Imported lazily: the program module imports from repro.simulation,
         # so a module-level import here would be circular.
@@ -166,16 +158,18 @@ class VectorizedZeroDelaySimulator:
         self._const_rows = self.program.const_rows
         # The compiled kernels and the grouped-numpy schedule are alternative
         # sweep strategies; only materialise the (index-table heavy) groups
-        # when no kernel is available.
-        if sweep not in self.SWEEPS:
-            raise ValueError(f"unknown sweep strategy {sweep!r}; choose from {self.SWEEPS}")
+        # when no kernel is available.  ``codegen=True`` asks for the
+        # per-program generated kernel first; every request degrades
+        # codegen -> native -> groups, so a missing compiler (or
+        # ``REPRO_NATIVE=0``) never fails construction.  :attr:`sweep` names
+        # the strategy in use.
         self._native_call = None
         self.sweep = "groups"
-        if sweep == "codegen":
+        if codegen:
             self._native_call = self._build_codegen_call()
             if self._native_call is not None:
                 self.sweep = "codegen"
-        if self._native_call is None and sweep in ("auto", "codegen", "native"):
+        if self._native_call is None:
             self._native_call = self._build_native_call()
             if self._native_call is not None:
                 self.sweep = "native"

@@ -123,7 +123,7 @@ class ZeroDelaySimulator:
                 self.program,
                 width=width,
                 node_capacitance=node_capacitance,
-                sweep="codegen" if self.backend == "compiled" else "auto",
+                codegen=self.backend == "compiled",
             )
             self.circuit = circuit
             self.width = width

@@ -133,6 +133,32 @@ class TestRunJob:
         assert kinds[-1] == "estimate-completed"
         assert "interval-selected" in kinds
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_compiled_backend_is_bit_identical_to_numpy(self, workers):
+        """``simulation_backend="compiled"`` routes the zero-delay sweeps and
+        the event-driven frontier through codegen without changing a sample,
+        in process and sharded."""
+        estimates = {}
+        for backend in ("numpy", "compiled"):
+            config = EstimationConfig(
+                power_simulator="event-driven",
+                num_chains=64,
+                num_workers=workers,
+                simulation_backend=backend,
+                warmup_cycles=16,
+                randomness_sequence_length=64,
+            )
+            estimates[backend] = run_job(JobSpec(circuit="s298", config=config, seed=12)).estimate
+        numpy_run, compiled_run = estimates["numpy"], estimates["compiled"]
+        assert (
+            compiled_run.samples_switched_capacitance_f
+            == numpy_run.samples_switched_capacitance_f
+        )
+        assert compiled_run.average_power_w == numpy_run.average_power_w
+        assert compiled_run.sample_size == numpy_run.sample_size
+        assert compiled_run.independence_interval == numpy_run.independence_interval
+        assert compiled_run.cycles_simulated == numpy_run.cycles_simulated
+
     def test_unknown_circuit_raises(self, quick_config):
         with pytest.raises(ValueError, match="unknown circuit"):
             run_job(JobSpec(circuit="never-heard-of-it", config=quick_config))

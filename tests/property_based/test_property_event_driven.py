@@ -12,9 +12,10 @@ trajectory per lane).
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.circuits.generators import SyntheticCircuitSpec, generate_sequential_circuit
+from repro.netlist.cell_library import GateType
 from repro.simulation.compiled import CompiledCircuit
 from repro.simulation.delay_models import (
     DelayModel,
@@ -36,10 +37,27 @@ class MixedDelay(DelayModel):
         return 0.5 + 0.25 * (gate.output % 3)
 
 
-#: All delay models the equivalence must hold under (satellite requirement):
-#: pure zero delay, uniform, fanout-loaded, per-type tables and a mix of
-#: zero and positive delays.
-DELAY_MODELS = (ZeroDelay, UnitDelay, FanoutDelay, TypeTableDelay, MixedDelay)
+def instant_inverter_delay() -> TypeTableDelay:
+    """Per-type table with instantaneous NOT/BUFF cells.
+
+    Their outputs cascade within the instant that changed their input, so the
+    vectorized engine runs its level worklist instead of the single-batch
+    path it takes when every delay is positive.
+    """
+    return TypeTableDelay({GateType.NOT: 0.0, GateType.BUFF: 0.0}, fanin_factor=0.0)
+
+
+#: All delay models the equivalence must hold under: pure zero delay,
+#: uniform, fanout-loaded, per-type tables, a mix of zero and positive
+#: delays, and a per-type table with zero-delay cascades.
+DELAY_MODELS = (
+    ZeroDelay,
+    UnitDelay,
+    FanoutDelay,
+    TypeTableDelay,
+    MixedDelay,
+    instant_inverter_delay,
+)
 
 
 def _build_circuit(spec_seed: int) -> CompiledCircuit:
@@ -60,6 +78,13 @@ def _build_circuit(spec_seed: int) -> CompiledCircuit:
     width=st.integers(min_value=1, max_value=192),
     run_seed=st.integers(min_value=0, max_value=2**31 - 1),
     model_index=st.integers(min_value=0, max_value=len(DELAY_MODELS) - 1),
+)
+# Wide ensembles beyond the drawn range: eight full 64-lane words, a partial
+# last word, and a zero-delay cascade (spec seed 1 has NOT/BUFF cells) at 512.
+@example(spec_seed=4, width=512, run_seed=9, model_index=DELAY_MODELS.index(FanoutDelay))
+@example(spec_seed=4, width=520, run_seed=2, model_index=DELAY_MODELS.index(FanoutDelay))
+@example(
+    spec_seed=1, width=512, run_seed=9, model_index=DELAY_MODELS.index(instant_inverter_delay)
 )
 def test_event_backends_identical_on_random_netlists(spec_seed, width, run_seed, model_index):
     """Per-lane energies and per-net transition counts agree, glitches included."""

@@ -10,10 +10,12 @@ the generic-kernel disk memo that keeps shard workers from re-invoking gcc).
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
+from repro.circuits.iscas89 import build_circuit
 from repro.circuits.program import CircuitProgram
 from repro.simulation import _native, codegen
 from repro.simulation.event_driven import EventDrivenSimulator
@@ -44,10 +46,9 @@ def fresh_kernels():
 # ----------------------------------------------------------- source generation
 def test_generated_source_shape(program):
     source = codegen.generate_source(program)
-    # the three entry points the engines bind
+    # the two entry points the engines bind
     assert "void cg_zd_sweep(" in source
     assert "void cg_ed_eval(" in source
-    assert "void cg_ed_eval_cols(" in source
     # gates appear as literal expressions over row slots, not table lookups
     assert "*NW+w]" in source
     # one chunk function per level at minimum
@@ -63,11 +64,18 @@ def test_generated_source_is_deterministic(program):
 # ------------------------------------------------------------- bit-identity
 @needs_compiler
 @pytest.mark.parametrize("width", (1, 64, 130))
-def test_codegen_sweep_words_match_numpy(program, width, fresh_kernels):
+def test_codegen_sweep_words_match_numpy(program, width, fresh_kernels, monkeypatch):
     rng_seed = 42 + width
     sims = {}
     for sweep in ("groups", "codegen"):
-        sim = VectorizedZeroDelaySimulator(program, width=width, sweep=sweep)
+        # The grouped-numpy sweep is what every engine runs with the C
+        # kernels disabled.
+        if sweep == "groups":
+            monkeypatch.setenv("REPRO_NATIVE", "0")
+        else:
+            monkeypatch.delenv("REPRO_NATIVE", raising=False)
+        _native.clear_kernel_memo()
+        sim = VectorizedZeroDelaySimulator(program, width=width, codegen=sweep == "codegen")
         assert sim.sweep == sweep
         sim.randomize_state(np.random.default_rng(rng_seed))
         rng = np.random.default_rng(7)
@@ -99,18 +107,11 @@ def test_compiled_facade_matches_numpy_and_bigint(program, fresh_kernels):
 
 
 @needs_compiler
-@pytest.mark.parametrize("wavefront", (False, True))
-def test_event_driven_compiled_matches_numpy(program, wavefront, fresh_kernels):
+def test_event_driven_compiled_matches_numpy(program, fresh_kernels):
     width = 130
     lanes = {}
     for backend in ("numpy", "compiled"):
-        sim = EventDrivenSimulator(
-            program,
-            width=width,
-            backend=backend,
-            delay_model=None,
-            wavefront_compaction=wavefront,
-        )
+        sim = EventDrivenSimulator(program, width=width, backend=backend, delay_model=None)
         if backend == "compiled":
             assert sim._vec.eval_mode == "codegen"
         sim.reset()
@@ -128,7 +129,7 @@ def test_event_driven_compiled_matches_numpy(program, wavefront, fresh_kernels):
 def test_repro_native_zero_disables_codegen(program, fresh_kernels, monkeypatch):
     monkeypatch.setenv("REPRO_NATIVE", "0")
     assert codegen.load_program_kernel(program) is None
-    sim = VectorizedZeroDelaySimulator(program, width=64, sweep="codegen")
+    sim = VectorizedZeroDelaySimulator(program, width=64, codegen=True)
     assert sim.sweep == "groups"
     # the facade accepts backend="compiled" and silently runs the numpy path
     facade = ZeroDelaySimulator(program, width=64, backend="compiled")
@@ -267,3 +268,46 @@ def test_generic_kernel_disk_memo_spares_gcc(tmp_path):
     )
     assert warm.returncode == 0, warm.stderr
     assert warm.stdout.strip() == "0"
+
+
+def _load_concurrently(load, threads: int = 4) -> list:
+    """Run *load* on *threads* threads released together; return their results."""
+    barrier = threading.Barrier(threads)
+    results: list = [None] * threads
+
+    def run(index: int) -> None:
+        barrier.wait(timeout=60)
+        results[index] = load()
+
+    workers = [threading.Thread(target=run, args=(index,)) for index in range(threads)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=300)
+        assert not worker.is_alive()
+    return results
+
+
+@needs_compiler
+def test_concurrent_first_loads_share_one_build(fresh_kernels, monkeypatch, tmp_path):
+    """Threads racing on a cold cache all get the generic kernel from one compile."""
+    monkeypatch.setenv("REPRO_PROGRAM_CACHE", str(tmp_path))
+    before = _native.compiler_invocations()
+    kernels = _load_concurrently(_native.load_kernel)
+    assert all(kernel is not None for kernel in kernels)
+    assert len({id(kernel) for kernel in kernels}) == 1
+    assert _native.compiler_invocations() == before + 1
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+@needs_compiler
+def test_concurrent_codegen_builds_never_collide(monkeypatch, tmp_path):
+    """Threads compiling one program's source at once each get a loadable object."""
+    monkeypatch.setenv("REPRO_PROGRAM_CACHE", str(tmp_path))
+    program = CircuitProgram.of(build_circuit("s27"))
+    source = codegen.generate_source(program)
+    libraries = _load_concurrently(
+        lambda: _native.compile_and_load(source, f"{program.key}.race"), threads=3
+    )
+    assert all(library is not None for library in libraries)
+    assert not list(tmp_path.glob("*.tmp"))

@@ -1,13 +1,16 @@
-"""Cross-engine equivalence suite over the simulator registry.
+"""Cross-engine equivalence suite over power simulators and backends.
 
 Every power engine registered with
-:data:`~repro.api.registry.SIMULATOR_REGISTRY` must satisfy the chain-
-independence contract the samplers are built on: the per-lane energies of a
-width-*W* ensemble equal, lane for lane, the energies of *W* independent
-width-1 runs driven by the same per-lane stimulus, for any width — and the
-state engine's settled latch state must agree exactly.  The suite is
-parameterized over the registry, so a future registered backend is pinned
-automatically the moment it registers, with no new test code.
+:data:`~repro.api.registry.SIMULATOR_REGISTRY`, on every simulation backend
+a sampler can hand it, must satisfy the chain-independence contract the
+samplers are built on: the per-lane energies of a width-*W* ensemble equal,
+lane for lane, the energies of *W* independent width-1 runs driven by the
+same per-lane stimulus, for any width — and the state engine's settled latch
+state must agree exactly.  The backends are ``"auto"`` (the width-1
+references run on the big-int / scalar oracles) and ``"compiled"`` (the
+per-circuit codegen kernel for the state sweeps and the event frontier).
+The simulators come from the registry, so a future registered engine is
+pinned the moment it registers, with no new test code.
 
 Widths span the interesting regimes: 1 (scalar/big-int engines), a
 non-aligned narrow ensemble, one full 64-lane word, and multi-word widths
@@ -22,12 +25,20 @@ from repro.api.registry import get_simulator, simulator_names
 from repro.circuits.iscas89 import build_circuit
 from repro.circuits.program import CircuitProgram
 from repro.power.capacitance import CapacitanceModel
-from repro.simulation.power_engines import ZeroDelayPowerEngine
+from repro.simulation.event_driven import event_backend_for
 from repro.simulation.zero_delay import ZeroDelaySimulator
 from repro.stimulus.base import pack_bit_matrix
 
 WIDTHS = (1, 3, 64, 130, 192)
 CYCLES = 5
+
+#: (power simulator, simulation backend) pairs; a case is named after its
+#: simulator, with the backend appended when it is not "auto".
+ENGINES = [
+    pytest.param(name, backend, id=name if backend == "auto" else f"{name}-{backend}")
+    for backend in ("auto", "compiled")
+    for name in simulator_names()
+]
 
 
 @pytest.fixture(scope="module")
@@ -41,43 +52,25 @@ def caps(program):
 
 
 def test_builtin_engines_are_registered():
-    names = simulator_names()
-    assert "zero-delay" in names
-    assert "event-driven" in names
-    assert "compiled" in names
-    assert "event-driven-compiled" in names
-    # alias resolves to the same class as the canonical name
-    assert get_simulator("zero-delay-compiled") is get_simulator("compiled")
+    assert simulator_names() == ("event-driven", "zero-delay")
 
 
-def _state_backend(name) -> str:
-    """The state-engine backend a sampler would pair with simulator *name*.
-
-    Mirrors the samplers' resolution: a registered simulator may pin the
-    state backend (the compiled engines route the shared sweeps through the
-    codegen kernel); otherwise the width-based auto pick applies.
-    """
-    return getattr(get_simulator(name), "state_backend", None) or "auto"
-
-
-def _is_zero_delay(name) -> bool:
-    """True for simulators that measure on the zero-delay state engine itself."""
-    factory = get_simulator(name)
-    return isinstance(factory, type) and issubclass(factory, ZeroDelayPowerEngine)
-
-
-def _run_ensemble(name, program, caps, width, latch_bits, input_bits):
-    """Drive one ensemble of *width* lanes; return (energies, latch states)."""
-    state = ZeroDelaySimulator(
-        program, width=width, node_capacitance=caps, backend=_state_backend(name)
-    )
+def _engines(name, backend, program, caps, width):
+    """The (state engine, power engine) pair a sampler builds for *backend*."""
+    state = ZeroDelaySimulator(program, width=width, node_capacitance=caps, backend=backend)
     power = get_simulator(name)(
         program,
         width=width,
         node_capacitance=caps,
         delay_model="type-table",
-        backend="auto",
+        backend=event_backend_for(backend),
     )
+    return state, power
+
+
+def _run_ensemble(name, backend, program, caps, width, latch_bits, input_bits):
+    """Drive one ensemble of *width* lanes; return (energies, latch states)."""
+    state, power = _engines(name, backend, program, caps, width)
     state.reset(latch_state=pack_bit_matrix(latch_bits[:, :width]))
     state.settle(pack_bit_matrix(input_bits[0][:, :width]))
     energies = np.empty((CYCLES - 1, width), dtype=np.float64)
@@ -90,8 +83,8 @@ def _run_ensemble(name, program, caps, width, latch_bits, input_bits):
 
 
 @pytest.mark.parametrize("width", WIDTHS)
-@pytest.mark.parametrize("name", simulator_names())
-def test_per_lane_results_match_width_one_runs(name, program, caps, width):
+@pytest.mark.parametrize("name,backend", ENGINES)
+def test_per_lane_results_match_width_one_runs(name, backend, program, caps, width):
     """Lane *k* of a width-W ensemble == an independent width-1 run of lane *k*."""
     circuit = program.circuit
     rng = np.random.default_rng(1234 + width)
@@ -100,12 +93,15 @@ def test_per_lane_results_match_width_one_runs(name, program, caps, width):
         0, 2, size=(CYCLES, circuit.num_inputs, width), dtype=np.uint8
     )
 
-    energies, states = _run_ensemble(name, program, caps, width, latch_bits, input_bits)
+    energies, states = _run_ensemble(
+        name, backend, program, caps, width, latch_bits, input_bits
+    )
 
     lanes = range(width) if width <= 4 else sorted({0, width // 2, width - 1})
     for lane in lanes:
         ref_energy, ref_state = _run_ensemble(
             name,
+            backend,
             program,
             caps,
             1,
@@ -117,15 +113,15 @@ def test_per_lane_results_match_width_one_runs(name, program, caps, width):
         # is exact whatever the width; the event-driven engines guarantee
         # identical *counts* but may reduce the weighted sum in different
         # orders, hence approx at float64 resolution.
-        if _is_zero_delay(name):
+        if name == "zero-delay":
             assert energies[:, lane].tolist() == ref_energy[:, 0].tolist()
         else:
             np.testing.assert_allclose(energies[:, lane], ref_energy[:, 0], rtol=1e-12)
         assert states[lane] == ref_state[0], f"latch state diverged in lane {lane}"
 
 
-@pytest.mark.parametrize("name", simulator_names())
-def test_measure_total_equals_lane_sum(name, program, caps):
+@pytest.mark.parametrize("name,backend", ENGINES)
+def test_measure_total_equals_lane_sum(name, backend, program, caps):
     """measure_total is the lane-summed counterpart of measure_lanes."""
     circuit = program.circuit
     width = 96
@@ -134,14 +130,9 @@ def test_measure_total_equals_lane_sum(name, program, caps):
     input_bits = rng.integers(
         0, 2, size=(CYCLES, circuit.num_inputs, width), dtype=np.uint8
     )
-    energies, _ = _run_ensemble(name, program, caps, width, latch_bits, input_bits)
+    energies, _ = _run_ensemble(name, backend, program, caps, width, latch_bits, input_bits)
 
-    state = ZeroDelaySimulator(
-        program, width=width, node_capacitance=caps, backend=_state_backend(name)
-    )
-    power = get_simulator(name)(
-        program, width=width, node_capacitance=caps, delay_model="type-table"
-    )
+    state, power = _engines(name, backend, program, caps, width)
     state.reset(latch_state=pack_bit_matrix(latch_bits))
     state.settle(pack_bit_matrix(input_bits[0]))
     for step in range(1, CYCLES):

@@ -9,8 +9,9 @@ Every zero-delay entry point turns exact integer toggle counts per
   oracle agree bit for bit, for every width, lane count and capacitance
   vector;
 * ``measure_lanes(lanes=k)`` equals the first *k* entries of a full
-  measurement on a twin engine, for every registered simulator (event-driven
-  energies to float64 resolution, their toggle counts exactly);
+  measurement on a twin engine, for both power simulators on the default and
+  the codegen backend (event-driven energies to float64 resolution, their
+  toggle counts exactly);
 * ``collect_sequence``, which measures chain 0 alone, equals lane 0 of a
   twin sampler's full measurement, in process and sharded.
 """
@@ -27,7 +28,7 @@ from repro.core.sharded_sampler import ShardedPowerSampler
 from repro.power.capacitance import CapacitanceModel
 from repro.simulation import _native
 from repro.simulation.measurement import CapacitanceClasses, resolve_lanes
-from repro.simulation.power_engines import ZeroDelayPowerEngine
+from repro.simulation.event_driven import event_backend_for
 from repro.simulation.vectorized import VectorizedZeroDelaySimulator
 from repro.simulation.zero_delay import ZeroDelaySimulator
 from repro.stats.randomness import dichotomize, runs_test_on_values
@@ -36,6 +37,14 @@ from repro.stimulus.random_inputs import BernoulliStimulus
 
 WIDTHS = (1, 63, 64, 65, 130, 256)
 CAPS = ("unit", "model", "random")
+
+#: (power simulator, simulation backend) pairs; a case is named after its
+#: simulator, with the backend appended when it is not "auto".
+ENGINES = [
+    pytest.param(name, backend, id=name if backend == "auto" else f"{name}-{backend}")
+    for backend in ("auto", "compiled")
+    for name in simulator_names()
+]
 
 needs_kernel = pytest.mark.skipif(
     not _native.native_kernel_available(), reason="compiled kernel unavailable"
@@ -177,7 +186,7 @@ def test_engine_equals_bigint_oracle(program, kind, width, native, monkeypatch):
         assert vec_totals == big_totals
 
 
-def _twin_ensembles(program, name, width, caps, seed):
+def _twin_ensembles(program, name, backend, width, caps, seed):
     """Two identical (state engine, power engine) pairs plus their stimulus bits."""
     circuit = program.circuit
     rng = np.random.default_rng(seed)
@@ -186,14 +195,15 @@ def _twin_ensembles(program, name, width, caps, seed):
         pack_bit_matrix(rng.integers(0, 2, size=(circuit.num_inputs, width), dtype=np.uint8))
         for _ in range(6)
     ]
-    state_backend = getattr(get_simulator(name), "state_backend", None) or "auto"
     twins = []
     for _ in range(2):
-        state = ZeroDelaySimulator(
-            program, width=width, node_capacitance=caps, backend=state_backend
-        )
+        state = ZeroDelaySimulator(program, width=width, node_capacitance=caps, backend=backend)
         power = get_simulator(name)(
-            program, width=width, node_capacitance=caps, delay_model="type-table"
+            program,
+            width=width,
+            node_capacitance=caps,
+            delay_model="type-table",
+            backend=event_backend_for(backend),
         )
         state.reset(latch_state=latch)
         state.settle(inputs[0])
@@ -203,16 +213,13 @@ def _twin_ensembles(program, name, width, caps, seed):
 
 @pytest.mark.parametrize("kind", ("unit", "model"))
 @pytest.mark.parametrize("width,lanes", [(64, 1), (130, 7), (130, 65), (96, 96)])
-@pytest.mark.parametrize("name", simulator_names())
-def test_leading_lanes_equal_full_measurement(program, name, width, lanes, kind):
+@pytest.mark.parametrize("name,backend", ENGINES)
+def test_leading_lanes_equal_full_measurement(program, name, backend, width, lanes, kind):
     """measure_lanes(lanes=k) == measure_lanes()[:k]; trajectories unchanged."""
     caps = _caps(program, kind)
-    twins, patterns = _twin_ensembles(program, name, width, caps, seed=width + lanes)
+    twins, patterns = _twin_ensembles(program, name, backend, width, caps, seed=width + lanes)
     (full_state, full_power), (part_state, part_power) = twins
-    factory = get_simulator(name)
-    exact = kind == "unit" or (
-        isinstance(factory, type) and issubclass(factory, ZeroDelayPowerEngine)
-    )
+    exact = kind == "unit" or name == "zero-delay"
     for pattern in patterns:
         full = full_power.measure_lanes(full_state, pattern)
         part = part_power.measure_lanes(part_state, pattern, lanes=lanes)

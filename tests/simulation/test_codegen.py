@@ -107,13 +107,23 @@ def test_compiled_facade_matches_numpy_and_bigint(program, fresh_kernels):
 
 
 @needs_compiler
-def test_event_driven_compiled_matches_numpy(program, fresh_kernels):
+@pytest.mark.parametrize("native_reference", (False, True))
+def test_event_driven_compiled_matches_numpy(program, native_reference, fresh_kernels):
+    """The codegen frontier equals both numpy-backend evaluation paths.
+
+    The reference runs the generic C frontier kernel or, with it detached,
+    the grouped-ufunc sweep that hosts without a compiler run.
+    """
     width = 130
     lanes = {}
     for backend in ("numpy", "compiled"):
         sim = EventDrivenSimulator(program, width=width, backend=backend, delay_model=None)
         if backend == "compiled":
             assert sim._vec.eval_mode == "codegen"
+        elif native_reference:
+            assert sim._vec.eval_mode == "native"
+        else:
+            sim._vec._native_eval = None  # force the grouped-ufunc sweep
         sim.reset()
         rng = np.random.default_rng(5)
         total = np.zeros(width)

@@ -10,8 +10,9 @@ Every zero-delay entry point turns exact integer toggle counts per
   vector;
 * ``measure_lanes(lanes=k)`` equals the first *k* entries of a full
   measurement on a twin engine, for both power simulators on the default and
-  the codegen backend (event-driven energies to float64 resolution, their
-  toggle counts exactly);
+  the codegen backend, and for engines a sampler builds from
+  ``simulation_backend="compiled"`` (event-driven energies to float64
+  resolution, their toggle counts exactly);
 * ``collect_sequence``, which measures chain 0 alone, equals lane 0 of a
   twin sampler's full measurement, in process and sharded.
 """
@@ -38,13 +39,20 @@ from repro.stimulus.random_inputs import BernoulliStimulus
 WIDTHS = (1, 63, 64, 65, 130, 256)
 CAPS = ("unit", "model", "random")
 
-#: (power simulator, simulation backend) pairs; a case is named after its
-#: simulator, with the backend appended when it is not "auto".
+#: (power simulator, simulation backend, built by a sampler) cases; a case is
+#: named after its simulator, with the backend appended when it is not
+#: "auto".  The "compiled" case is the codegen switch as users set it: the
+#: default power simulator under ``simulation_backend="compiled"``, its
+#: engines built by :class:`BatchPowerSampler` itself.
 ENGINES = [
-    pytest.param(name, backend, id=name if backend == "auto" else f"{name}-{backend}")
+    pytest.param(name, backend, False, id=name if backend == "auto" else f"{name}-{backend}")
     for backend in ("auto", "compiled")
     for name in simulator_names()
-]
+] + [pytest.param(EstimationConfig().power_simulator, "compiled", True, id="compiled")]
+
+#: Capacitance models whose per-net vectors are the unit and built-in
+#: capacitances of :func:`_caps`, for engines a sampler builds from a config.
+CAP_MODELS = {"unit": CapacitanceModel(1.0, 0.0, 0.0, 0.0, 1.0), "model": CapacitanceModel()}
 
 needs_kernel = pytest.mark.skipif(
     not _native.native_kernel_available(), reason="compiled kernel unavailable"
@@ -186,8 +194,25 @@ def test_engine_equals_bigint_oracle(program, kind, width, native, monkeypatch):
         assert vec_totals == big_totals
 
 
-def _twin_ensembles(program, name, backend, width, caps, seed):
-    """Two identical (state engine, power engine) pairs plus their stimulus bits."""
+def _sampler_engines(program, name, backend, width, kind):
+    """The (state engine, power engine) pair a sampler builds from a config."""
+    config = EstimationConfig(
+        power_simulator=name,
+        simulation_backend=backend,
+        delay_model="type-table",
+        capacitance_model=CAP_MODELS[kind],
+    )
+    stimulus = BernoulliStimulus(program.circuit.num_inputs, 0.5)
+    sampler = BatchPowerSampler(program, stimulus, config, num_chains=width)
+    return sampler._engine, sampler._power
+
+
+def _twin_ensembles(program, name, backend, width, caps, seed, kind=None):
+    """Two identical (state engine, power engine) pairs plus their stimulus bits.
+
+    With *kind* set, a sampler builds each pair from a config whose
+    capacitance model stands for *kind* instead of taking *caps*.
+    """
     circuit = program.circuit
     rng = np.random.default_rng(seed)
     latch = pack_bit_matrix(rng.integers(0, 2, size=(circuit.num_latches, width), dtype=np.uint8))
@@ -197,14 +222,19 @@ def _twin_ensembles(program, name, backend, width, caps, seed):
     ]
     twins = []
     for _ in range(2):
-        state = ZeroDelaySimulator(program, width=width, node_capacitance=caps, backend=backend)
-        power = get_simulator(name)(
-            program,
-            width=width,
-            node_capacitance=caps,
-            delay_model="type-table",
-            backend=event_backend_for(backend),
-        )
+        if kind is not None:
+            state, power = _sampler_engines(program, name, backend, width, kind)
+        else:
+            state = ZeroDelaySimulator(
+                program, width=width, node_capacitance=caps, backend=backend
+            )
+            power = get_simulator(name)(
+                program,
+                width=width,
+                node_capacitance=caps,
+                delay_model="type-table",
+                backend=event_backend_for(backend),
+            )
         state.reset(latch_state=latch)
         state.settle(inputs[0])
         twins.append((state, power))
@@ -213,11 +243,15 @@ def _twin_ensembles(program, name, backend, width, caps, seed):
 
 @pytest.mark.parametrize("kind", ("unit", "model"))
 @pytest.mark.parametrize("width,lanes", [(64, 1), (130, 7), (130, 65), (96, 96)])
-@pytest.mark.parametrize("name,backend", ENGINES)
-def test_leading_lanes_equal_full_measurement(program, name, backend, width, lanes, kind):
+@pytest.mark.parametrize("name,backend,by_sampler", ENGINES)
+def test_leading_lanes_equal_full_measurement(
+    program, name, backend, by_sampler, width, lanes, kind
+):
     """measure_lanes(lanes=k) == measure_lanes()[:k]; trajectories unchanged."""
     caps = _caps(program, kind)
-    twins, patterns = _twin_ensembles(program, name, backend, width, caps, seed=width + lanes)
+    twins, patterns = _twin_ensembles(
+        program, name, backend, width, caps, seed=width + lanes, kind=kind if by_sampler else None
+    )
     (full_state, full_power), (part_state, part_power) = twins
     exact = kind == "unit" or name == "zero-delay"
     for pattern in patterns:

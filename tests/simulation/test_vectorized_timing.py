@@ -185,3 +185,53 @@ class TestVectorizedInterface:
         scalar.randomize_state(rng=9)
         vector.randomize_state(rng=9)
         assert scalar.latch_state_scalar() == vector.latch_state_scalar()
+
+
+class TestWavefrontCompaction:
+    """The widths where wavefront compaction armed stay exact without it.
+
+    Compaction skipped quiescent 64-lane words once an ensemble reached eight
+    of them; the single evaluation path left must still equal the scalar
+    engine lane for lane there, with sparse activity that leaves most words
+    quiet, a partial last word, and a zero-delay cascade.
+    """
+
+    def _assert_matches_scalar(self, circuit, width, delay_model=None):
+        from repro.stimulus.base import pack_bit_matrix
+
+        vector = VectorizedEventDrivenSimulator(circuit, delay_model=delay_model, width=width)
+        vector.randomize_state(np.random.default_rng(9))
+        scalars = []
+        for lane in range(width):
+            scalar = EventDrivenSimulator(circuit, delay_model=delay_model, backend="scalar")
+            scalar.reset(latch_state=vector.latch_state_scalar(lane))
+            scalars.append(scalar)
+        rng = np.random.default_rng(2)
+        # 5% input activity leaves whole words quiescent from cycle to cycle.
+        bits = (rng.random((11, circuit.num_inputs, width)) < 0.05).astype(np.uint8)
+        vector.settle(pack_bit_matrix(bits[0]))
+        for lane, scalar in enumerate(scalars):
+            scalar.settle(bits[0][:, lane].tolist())
+        for step in range(1, 11):
+            lanes = vector.cycle_lanes(pack_bit_matrix(bits[step]))
+            expected = [
+                scalar.cycle(bits[step][:, lane].tolist()) for lane, scalar in enumerate(scalars)
+            ]
+            assert lanes == pytest.approx(expected, rel=1e-12)
+        aggregated = sum(scalar.transition_counts for scalar in scalars)
+        assert np.array_equal(vector.transition_counts, aggregated)
+        for lane, scalar in enumerate(scalars):
+            assert vector.latch_state_scalar(lane) == scalar.latch_state_scalar()
+        return vector
+
+    @pytest.mark.parametrize("width", [512, 520])
+    def test_bit_identical_lanes_wide(self, s27_circuit, width):
+        self._assert_matches_scalar(s27_circuit, width)
+
+    def test_bit_identical_with_zero_delay_cascade(self, s27_circuit):
+        """NOT/BUFF cells switch instantly, so instants run the level worklist."""
+        from repro.simulation.delay_models import TypeTableDelay
+
+        model = TypeTableDelay({GateType.NOT: 0.0, GateType.BUFF: 0.0}, fanin_factor=0.0)
+        vector = self._assert_matches_scalar(s27_circuit, 512, model)
+        assert vector._any_zero_ticks  # the cascade branch was in play
